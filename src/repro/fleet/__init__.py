@@ -9,16 +9,18 @@ top of the same simulation substrate:
   topologies (N ~ 20-50) with realistic RTT classes (intra-metro /
   continental / transcontinental) and deterministic site naming,
   producing ordinary :class:`repro.net.topology.Topology` objects;
-* :mod:`repro.fleet.engine` — an **open-loop** traffic driver
-  (Poisson or deterministic arrivals per site, with a diurnal
-  follow-the-sun modulator) over a sharded key/token space, backed by
-  array-columns instead of per-session coroutines so a single run
-  sustains 10^5-10^6 concurrent sessions in tens of megabytes;
-* :mod:`repro.fleet.full` — the same open-loop arrival machinery
-  injected into a **real** ZK/WanKeeper deployment on either substrate:
-  idle-gap fast-forward, flyweight per-site client stations, and
-  allocation-free messaging make 10^4+ concurrent real sessions
-  affordable.
+* :mod:`repro.fleet.arrivals` — the **open-loop** arrival source both
+  tiers share: Poisson (thinned) or deterministic arrivals per site
+  under a diurnal follow-the-sun modulator, one kernel event per
+  arrival;
+* :mod:`repro.fleet.engine` — a traffic model over a sharded key/token
+  space, backed by array-columns instead of per-session coroutines so
+  a single run sustains 10^5-10^6 concurrent sessions in tens of
+  megabytes;
+* :mod:`repro.fleet.full` — the same arrivals injected into a **real**
+  ZK/WanKeeper deployment on either substrate: flyweight per-site
+  client stations and allocation-free messaging make 10^4+ concurrent
+  real sessions affordable.
 
 Everything here is bit-deterministic across PYTHONHASHSEED values and
 across the in-process / warm-pool / spawn executors: all randomness

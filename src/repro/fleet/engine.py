@@ -10,16 +10,16 @@ rises, hiding saturation behaviour entirely.
 This engine inverts both choices:
 
 * **Open-loop arrivals** — each site offers load at a configured rate
-  (Poisson or deterministic arrival process) regardless of completions,
-  so pushing the offered load past a site's service capacity produces
-  real queueing delay and a visible saturation knee, exactly the axis
-  the coordination-evaluation literature measures.
-* **Batched session state machines** — one kernel process *per site*
-  steps all of that site's sessions in arrival-time order each tick.
-  Session state lives in flat ``array`` columns (ops issued, last
-  completion instant), indexed by integer session id; there are no
-  per-session objects and no per-op tuples, so 10^6 concurrent sessions
-  cost ~12 bytes each instead of kilobytes.
+  (Poisson or deterministic arrival process, :mod:`repro.fleet.arrivals`)
+  regardless of completions, so pushing the offered load past a site's
+  service capacity produces real queueing delay and a visible saturation
+  knee, exactly the axis the coordination-evaluation literature
+  measures.
+* **Flat session state** — each arrival is one kernel callback that
+  steps the model for one op. Session state lives in flat ``array``
+  columns (ops issued, last completion instant), indexed by integer
+  session id; there are no per-session objects and no per-op tuples, so
+  10^6 concurrent sessions cost ~12 bytes each instead of kilobytes.
 * **Sharded key/token space** — keys are aggregated into shards; a
   token directory (three more array columns) tracks the owning site,
   the consecutive-access streak, and the streak's site per shard,
@@ -39,8 +39,8 @@ fixed-size reservoir percentiles), keeping memory flat in the operation
 count.
 
 Determinism: every stochastic choice draws from a per-site named
-``seeded_rng`` stream consumed in (tick, arrival) order; sites are
-stepped in index order at each tick; no unordered iteration anywhere.
+``seeded_rng`` stream consumed in arrival order; simultaneous arrivals
+run in the kernel's FIFO order; no unordered iteration anywhere.
 Payloads are pure functions of the spec, bit-identical across
 PYTHONHASHSEED values and executors.
 """
@@ -52,6 +52,7 @@ from array import array
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List
 
+from repro.fleet.arrivals import ArrivalSource
 from repro.fleet.topology import build_fleet_topology, fleet_sites
 from repro.sim.kernel import Environment
 from repro.sim.rng import seeded_rng
@@ -67,6 +68,8 @@ class FleetSpec:
     n_sites: int = 20
     sessions_per_site: int = 5000
     duration_ms: float = 60000.0
+    #: Rounds the arrival window up to a whole number of ticks; arrivals
+    #: themselves are continuous-time.
     tick_ms: float = 100.0
     #: Offered load per site at load_multiplier 1.0 and diurnal peak 1.0.
     site_ops_per_sec: float = 150.0
@@ -99,6 +102,10 @@ class FleetSpec:
             raise ValueError("need at least one shard per site")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError("write_fraction must be in [0, 1]")
+        if not 0.0 <= self.diurnal_amplitude <= 1.0:
+            raise ValueError("diurnal_amplitude must be in [0, 1]")
+        if self.site_ops_per_sec * self.load_multiplier <= 0:
+            raise ValueError("offered load must be positive")
         if self.migration_threshold < 1:
             raise ValueError("migration_threshold must be >= 1")
         if not 0 <= self.hub_index < self.n_sites:
@@ -113,24 +120,6 @@ class FleetSpec:
     def as_params(self) -> Dict[str, Any]:
         """Flat kwargs dict (for Scenario specs)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _poisson(rng, mean: float) -> int:
-    """One Poisson draw from ``rng`` (Knuth for small means, normal
-    approximation above — both consume only this stream)."""
-    if mean <= 0.0:
-        return 0
-    if mean < 30.0:
-        threshold = math.exp(-mean)
-        k = 0
-        p = 1.0
-        while True:
-            p *= rng.random()
-            if p <= threshold:
-                return k
-            k += 1
-    n = int(round(rng.gauss(mean, math.sqrt(mean))))
-    return n if n > 0 else 0
 
 
 class _FleetEngine:
@@ -167,7 +156,6 @@ class _FleetEngine:
         # -- per-site open-loop accounting.
         self.rngs = [seeded_rng(spec.seed, f"fleet-site-{i:04d}") for i in range(n)]
         self.busy_until = [0.0] * n
-        self.carry = [0.0] * n  # deterministic-arrival remainders
         self.offered = [0] * n
         self.completed = [0] * n
         self.dropped_after_horizon = [0] * n
@@ -189,126 +177,76 @@ class _FleetEngine:
         ]
         self.hot_width = max(1, int(shards * spec.hotspot_width_fraction))
 
-    # -- per-tick batch step -------------------------------------------------
+    # -- one arrival ---------------------------------------------------------
 
-    def rate_multiplier(self, site_index: int, now_ms: float) -> float:
-        """Diurnal follow-the-sun modulation of a site's offered rate."""
+    def arrive(self, site_index: int, arrival: float, rng) -> None:
+        """Model one op arriving at ``site_index`` at ``arrival`` ms."""
         spec = self.spec
-        if spec.diurnal_amplitude <= 0.0:
-            return 1.0
-        day_fraction = now_ms / spec.diurnal_period_ms + self.phase[site_index]
-        factor = 1.0 + spec.diurnal_amplitude * math.cos(
-            2.0 * math.pi * day_fraction
+        self.offered[site_index] += 1
+        session = site_index * spec.sessions_per_site + rng.randrange(
+            spec.sessions_per_site
         )
-        return factor if factor > 0.0 else 0.0
-
-    def step_site(self, site_index: int, now_ms: float) -> None:
-        """Process one site's arrivals for the tick starting at now_ms."""
-        spec = self.spec
-        rng = self.rngs[site_index]
-        mean = (
-            spec.site_ops_per_sec
-            * spec.load_multiplier
-            * self.rate_multiplier(site_index, now_ms)
-            * spec.tick_ms
-            / 1000.0
-        )
-        if spec.arrival == "poisson":
-            arrivals = _poisson(rng, mean)
-        else:
-            exact = mean + self.carry[site_index]
-            arrivals = int(exact)
-            self.carry[site_index] = exact - arrivals
-        if arrivals <= 0:
-            return
-        self.offered[site_index] += arrivals
-
-        # Bind everything the per-arrival loop touches to locals.
-        per_site = spec.sessions_per_site
-        session_base = site_index * per_site
-        rtt_row = self.rtt[site_index]
-        hub_rtt = rtt_row[spec.hub_index]
-        owner = self.owner
-        streak = self.streak
-        streak_site = self.streak_site
-        threshold = spec.migration_threshold
         shards = spec.shards
-        recorder = self.recorders[site_index]
-        session_ops = self.session_ops
-        session_last = self.session_last_ms
-        busy = self.busy_until[site_index]
-        service = spec.service_time_ms
-        horizon = spec.duration_ms
-        spacing = spec.tick_ms / arrivals
-        hot_center = int(
-            (now_ms / spec.diurnal_period_ms % 1.0) * shards
-        )
-
-        completed = 0
-        dropped = 0
-        for k in range(arrivals):
-            arrival = now_ms + (k + 0.5) * spacing
-            session = session_base + rng.randrange(per_site)
-            if rng.random() < spec.hotspot_fraction:
-                shard = (hot_center + rng.randrange(self.hot_width)) % shards
-            else:
-                shard = self.home_start[site_index] + rng.randrange(
-                    self.home_width[site_index]
-                )
-            is_write = rng.random() < spec.write_fraction
-            if is_write:
-                holder = owner[shard]
-                if holder == site_index:
-                    latency = self.local_rtt
-                    self.local_writes += 1
-                else:
-                    # Forwarded through the hub to the owning site.
-                    latency = hub_rtt + self.rtt[spec.hub_index][holder]
-                    self.forwarded_writes += 1
-                    if streak_site[shard] == site_index:
-                        run = streak[shard] + 1
-                    else:
-                        streak_site[shard] = site_index
-                        run = 1
-                    if run >= threshold:
-                        # Token migrates here: one extra hub round trip.
-                        latency += hub_rtt
-                        owner[shard] = site_index
-                        streak[shard] = 0
-                        self.migrations_in[site_index] += 1
-                    else:
-                        streak[shard] = run
-            else:
+        if rng.random() < spec.hotspot_fraction:
+            # The hotspot window rotates through the shard space once per
+            # simulated day, placed at the arrival instant.
+            hot_center = int(arrival / spec.diurnal_period_ms % 1.0 * shards)
+            shard = (hot_center + rng.randrange(self.hot_width)) % shards
+        else:
+            shard = self.home_start[site_index] + rng.randrange(
+                self.home_width[site_index]
+            )
+        is_write = rng.random() < spec.write_fraction
+        if is_write:
+            owner = self.owner
+            holder = owner[shard]
+            if holder == site_index:
                 latency = self.local_rtt
-            # Single-server queue: an op arriving while the server is
-            # busy waits until busy-until. The tie (arrival exactly at
-            # busy-until) starts service at that same instant with zero
-            # queue wait — it is queued behind the op that completes
-            # there, never served concurrently with it, so busy-until
-            # still advances by one full service time per op.
-            if arrival >= busy:
-                start_service = arrival
+                self.local_writes += 1
             else:
-                start_service = busy
-            busy = start_service + service
-            queue_wait = start_service - arrival
-            self.queue_wait_sum += queue_wait
-            completion = busy + latency
-            session_ops[session] += 1
-            if completion > session_last[session]:
-                session_last[session] = completion
-            if completion <= horizon:
-                completed += 1
-                recorder.record(
-                    "write" if is_write else "read",
-                    arrival,
-                    completion - arrival,
-                )
-            else:
-                dropped += 1
+                # Forwarded through the hub to the owning site.
+                hub_rtt = self.rtt[site_index][spec.hub_index]
+                latency = hub_rtt + self.rtt[spec.hub_index][holder]
+                self.forwarded_writes += 1
+                streak = self.streak
+                streak_site = self.streak_site
+                if streak_site[shard] == site_index:
+                    run = streak[shard] + 1
+                else:
+                    streak_site[shard] = site_index
+                    run = 1
+                if run >= spec.migration_threshold:
+                    # Token migrates here: one extra hub round trip.
+                    latency += hub_rtt
+                    owner[shard] = site_index
+                    streak[shard] = 0
+                    self.migrations_in[site_index] += 1
+                else:
+                    streak[shard] = run
+        else:
+            latency = self.local_rtt
+        # Single-server queue: an op arriving while the server is busy
+        # waits until busy-until. The tie (arrival exactly at busy-until)
+        # starts service at that same instant with zero queue wait — it
+        # is queued behind the op that completes there, never served
+        # concurrently with it, so busy-until still advances by one full
+        # service time per op.
+        busy = self.busy_until[site_index]
+        start_service = arrival if arrival >= busy else busy
+        busy = start_service + spec.service_time_ms
         self.busy_until[site_index] = busy
-        self.completed[site_index] += completed
-        self.dropped_after_horizon[site_index] += dropped
+        self.queue_wait_sum += start_service - arrival
+        completion = busy + latency
+        self.session_ops[session] += 1
+        if completion > self.session_last_ms[session]:
+            self.session_last_ms[session] = completion
+        if completion <= spec.duration_ms:
+            self.completed[site_index] += 1
+            self.recorders[site_index].record(
+                "write" if is_write else "read", arrival, completion - arrival
+            )
+        else:
+            self.dropped_after_horizon[site_index] += 1
 
     # -- result payload ------------------------------------------------------
 
@@ -365,20 +303,14 @@ class _FleetEngine:
 def run_fleet(spec: FleetSpec) -> Dict[str, Any]:
     """Run one fleet-tier simulation to completion and return its payload.
 
-    One kernel process per *site* (not per session) steps the batched
-    session table; the simulation ends when the configured duration has
-    elapsed at every site.
+    Every arrival is one kernel callback into the session model; the
+    simulation ends when the last site's arrivals are past the window.
     """
     engine = _FleetEngine(spec)
     env = Environment()
-    ticks = int(math.ceil(spec.duration_ms / spec.tick_ms))
-
-    def site_process(site_index: int):
-        for _tick in range(ticks):
-            engine.step_site(site_index, env.now)
-            yield env.timeout(spec.tick_ms)
-
-    for i in range(spec.n_sites):
-        env.process(site_process(i), name=f"fleet-site-{i}")
+    window = math.ceil(spec.duration_ms / spec.tick_ms) * spec.tick_ms
+    ArrivalSource(env, spec, engine.phase, window, engine.arrive).start(
+        0.0, engine.rngs
+    )
     env.run()
     return engine.payload()

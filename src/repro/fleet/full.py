@@ -2,23 +2,17 @@
 
 The mesoscale engine (:mod:`repro.fleet.engine`) models queueing with
 array columns and never sends a message. This module keeps the same
-open-loop arrival machinery — Poisson arrivals, follow-the-sun diurnal
-modulation, a rotating hotspot — but injects every operation into a real
+open-loop arrival machinery (:mod:`repro.fleet.arrivals`: per-site
+Poisson arrivals, follow-the-sun diurnal modulation, a rotating hotspot)
+but injects every operation into a real
 :class:`~repro.zk.server.ZkServer` or WanKeeper deployment over the
 simulated network, on either broadcast substrate. Three mechanisms make
 10^4+ concurrent *real* sessions affordable:
 
-* **Idle-gap fast-forward** — one global scan callback walks the tick
-  grid in plain Python, drawing each site's arrivals in (tick, site)
-  order and scheduling every operation at its exact instant with
-  :meth:`~repro.sim.kernel.Environment.call_at`. After scheduling a busy
-  tick it re-arms itself at the next tick boundary; across quiescent
-  stretches it just keeps iterating — simulated time jumps from burst to
-  burst with *zero* kernel events in between. With ``fast_forward``
-  off, a generator process performs the identical draws one
-  ``env.sleep(tick_ms)`` at a time, so both modes issue bit-identical
-  schedules and differ only in wall-clock time (the property the
-  equality tests pin).
+* **Event-driven arrivals** — each arrival is one kernel callback that
+  issues the op and re-arms itself at the site's next arrival, so the
+  driver costs O(arrivals) and simulated time jumps straight from one
+  arrival to the next, however sparse the load.
 
 * **Flyweight sessions** — one :class:`FleetStation` per site owns a
   single physical inbox shared by all of the site's sessions through
@@ -45,11 +39,10 @@ simulated network, on either broadcast substrate. Three mechanisms make
   profiling; payloads are bit-identical either way.
 
 Determinism: all stochastic choices draw from per-site named
-``seeded_rng`` streams consumed in (tick, site, arrival) order, the scan
-inserts operations in exactly the order the per-tick generator process
-would, and no unordered collection is ever iterated. Payloads are pure
-functions of the spec (``fast_forward`` and ``recycle_messages``
-excluded), bit-identical across PYTHONHASHSEED values and executors.
+``seeded_rng`` streams consumed in arrival order, and no unordered
+collection is ever iterated. Payloads are pure functions of the spec
+(``recycle_messages`` excluded), bit-identical across PYTHONHASHSEED
+values and executors.
 """
 
 from __future__ import annotations
@@ -59,7 +52,7 @@ from array import array
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional
 
-from repro.fleet.engine import _poisson
+from repro.fleet.arrivals import ArrivalSource
 from repro.fleet.topology import build_fleet_topology, fleet_sites
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
@@ -84,6 +77,8 @@ class FleetFullSpec:
     n_sites: int = 8
     sessions_per_site: int = 1250
     duration_ms: float = 15000.0
+    #: Rounds the arrival window up to a whole number of ticks; arrivals
+    #: themselves are continuous-time.
     tick_ms: float = 10.0
     #: Offered load per site at load_multiplier 1.0 and diurnal peak 1.0.
     site_ops_per_sec: float = 40.0
@@ -108,7 +103,6 @@ class FleetFullSpec:
     settle_ms: float = 500.0
     drain_ms: float = 2000.0
     payload_bytes: int = 16
-    fast_forward: bool = True
     recycle_messages: bool = True
     reservoir_size: int = 1024
     seed: int = 42
@@ -131,6 +125,10 @@ class FleetFullSpec:
             raise ValueError("wankeeper runs on the zab substrate only")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError("write_fraction must be in [0, 1]")
+        if not 0.0 <= self.diurnal_amplitude <= 1.0:
+            raise ValueError("diurnal_amplitude must be in [0, 1]")
+        if self.site_ops_per_sec * self.load_multiplier <= 0:
+            raise ValueError("offered load must be positive")
         if self.keys_per_site < 1:
             raise ValueError("keys_per_site must be positive")
         if not 0 <= self.hub_index < self.n_sites:
@@ -162,8 +160,7 @@ class FleetStation:
         "connected", "ops_issued", "ops_completed", "ops_failed",
         "not_connected_drops", "unexpected_messages", "inflight",
         "_inflight_reqs", "_req_free", "_read_ops", "_write_ops",
-        "_key_paths", "_write_data", "_recycle", "_issue_cb",
-        "_connect_batch_cb",
+        "_key_paths", "_write_data", "_recycle", "_connect_batch_cb",
     )
 
     #: Sessions per connect batch; batches spread over connect_window_ms.
@@ -223,7 +220,6 @@ class FleetStation:
         self._key_paths = key_paths
         self._write_data = b"w" * spec.payload_bytes
         self._recycle = spec.recycle_messages
-        self._issue_cb = self._issue
         self._connect_batch_cb = self._connect_batch
 
     # -- connect phase -------------------------------------------------------
@@ -251,12 +247,7 @@ class FleetStation:
 
     # -- op issue (called by the fleet driver at each arrival instant) -------
 
-    def _issue(self, code: int) -> None:
-        is_write = code & 1
-        rest = code >> 1
-        n_keys = len(self._key_paths)
-        key_index = rest % n_keys
-        sess = rest // n_keys
+    def issue(self, sess: int, key_index: int, is_write: bool) -> None:
         session_id = self.session_ids[sess]
         if session_id is None:
             self.not_connected_drops += 1
@@ -352,7 +343,6 @@ class _FleetFullEngine:
             seeded_rng(spec.seed, f"fleet-full-site-{i:04d}")
             for i in range(spec.n_sites)
         ]
-        self.carry = [0.0] * spec.n_sites
         self.offered = [0] * spec.n_sites
 
         # Shared immutable op records, one per key, site-major.
@@ -368,28 +358,15 @@ class _FleetFullEngine:
         self.stations: List[FleetStation] = []
         self._ticks = int(math.ceil(spec.duration_ms / spec.tick_ms))
         self._t0 = 0.0
-        self._scan_cb = self._scan
+        self.arrivals = ArrivalSource(
+            self.env, spec, self.phase, self._ticks * spec.tick_ms,
+            self._arrive,
+        )
+        #: Starts every site's arrivals at ``_t0`` when called from the
+        #: kernel (``env.call_soon(engine._scan_cb, 0)``); ``perfbench``
+        #: drives a cell phase by phase through this seam.
+        self._scan_cb = self._start_arrivals
         self.bootstrap_ms = 0.0
-        #: Per-tick arrival mean at diurnal multiplier 1.0.
-        self._base = (
-            spec.site_ops_per_sec * spec.load_multiplier * spec.tick_ms / 1000.0
-        )
-        # With no diurnal modulation every site's mean is ``_base``, so
-        # the Knuth acceptance threshold is one exp() for the whole run
-        # and the common zero-arrival tick costs a single rng.random()
-        # per site. The inline draw consumes the stream exactly as
-        # ``_poisson`` does (first factor ``r`` rejects at k=0, then the
-        # loop continues with k=1, p=r), so schedules are bit-identical
-        # to the generic path.
-        self._flat_threshold: Optional[float] = (
-            math.exp(-self._base)
-            if (
-                spec.arrival == "poisson"
-                and spec.diurnal_amplitude <= 0.0
-                and 0.0 < self._base < 30.0
-            )
-            else None
-        )
 
     def _build_deployment(self):
         spec = self.spec
@@ -435,135 +412,29 @@ class _FleetFullEngine:
             substrate="zab",
         )
 
-    # -- arrival planning (shared by both driver modes) ----------------------
+    # -- arrivals ------------------------------------------------------------
 
-    def _rate_multiplier(self, site_index: int, rel_ms: float) -> float:
+    def _start_arrivals(self, _arg: Any = None) -> None:
+        # ``rngs`` is read here and ``stations`` at each arrival, not at
+        # construction: a caller may replace or fill them in between.
+        self.arrivals.start(self._t0, self.rngs)
+
+    def _arrive(self, site: int, rel: float, rng) -> None:
+        """One arrival at ``site``: pick its session, key and kind, and
+        issue it. The hotspot is the site whose keys the rotating window
+        covers at this instant."""
         spec = self.spec
-        if spec.diurnal_amplitude <= 0.0:
-            return 1.0
-        day_fraction = rel_ms / spec.diurnal_period_ms + self.phase[site_index]
-        factor = 1.0 + spec.diurnal_amplitude * math.cos(
-            2.0 * math.pi * day_fraction
-        )
-        return factor if factor > 0.0 else 0.0
-
-    def _schedule_tick(self, tick_index: int) -> bool:
-        """Draw every site's arrivals for one tick and schedule each op
-        at its exact instant. Returns True if any site had arrivals.
-
-        Draw and insertion order is (site, arrival) within the tick —
-        identical whether called from the fast-forward scan or the
-        per-tick generator, which is what makes the two modes produce
-        bit-identical schedules.
-        """
-        flat_threshold = self._flat_threshold
-        rngs = self.rngs
-        if flat_threshold is not None:
-            # Flat-modulation fast path: a quiescent site costs exactly
-            # one rng.random(); everything arrival-dependent is deferred
-            # to _emit_arrivals, so across idle stretches this loop is
-            # the entire per-tick cost.
-            busy = False
-            for i in range(len(rngs)):
-                rng = rngs[i]
-                r = rng.random()
-                if r <= flat_threshold:
-                    continue
-                arrivals = 1
-                p = r
-                random = rng.random
-                while True:
-                    p *= random()
-                    if p <= flat_threshold:
-                        break
-                    arrivals += 1
-                busy = True
-                self._emit_arrivals(tick_index, i, arrivals, rng)
-            return busy
-        spec = self.spec
-        rel = tick_index * spec.tick_ms
-        base = self._base
-        poisson = spec.arrival == "poisson"
-        flat = spec.diurnal_amplitude <= 0.0
-        busy = False
-        for i in range(spec.n_sites):
-            rng = rngs[i]
-            mean = base if flat else base * self._rate_multiplier(i, rel)
-            if poisson:
-                arrivals = _poisson(rng, mean)
-            else:
-                exact = mean + self.carry[i]
-                arrivals = int(exact)
-                self.carry[i] = exact - arrivals
-            if arrivals <= 0:
-                continue
-            busy = True
-            self._emit_arrivals(tick_index, i, arrivals, rng)
-        return busy
-
-    def _emit_arrivals(
-        self, tick_index: int, site_index: int, arrivals: int, rng
-    ) -> None:
-        """Draw the per-arrival choices for one busy (tick, site) cell and
-        schedule each op at its exact instant. Consumes ``rng`` in the
-        same (sess, hotspot, key, write) order as the original inline
-        loop, so factoring it out of :meth:`_schedule_tick` changes no
-        schedule."""
-        spec = self.spec
-        self.offered[site_index] += arrivals
-        rel = tick_index * spec.tick_ms
-        t_tick = self._t0 + rel
         keys_per_site = spec.keys_per_site
-        n_sites = spec.n_sites
-        hot_base = (
-            int((rel / spec.diurnal_period_ms % 1.0) * n_sites) % n_sites
-        ) * keys_per_site
-        n_keys = n_sites * keys_per_site
-        per_site = spec.sessions_per_site
-        hotspot = spec.hotspot_fraction
-        write_fraction = spec.write_fraction
-        call_at = self.env.call_at
-        spacing = spec.tick_ms / arrivals
-        issue = self.stations[site_index]._issue_cb
-        home_base = site_index * keys_per_site
-        randrange = rng.randrange
-        random = rng.random
-        for k in range(arrivals):
-            at = t_tick + (k + 0.5) * spacing
-            sess = randrange(per_site)
-            if random() < hotspot:
-                key_index = hot_base + randrange(keys_per_site)
-            else:
-                key_index = home_base + randrange(keys_per_site)
-            is_write = random() < write_fraction
-            code = ((sess * n_keys + key_index) << 1) | (1 if is_write else 0)
-            call_at(at, issue, code)
-
-    def _scan(self, tick_index: int) -> None:
-        """Idle-gap fast-forward: walk ticks inline, re-arming only after
-        a busy tick. Quiescent stretches cost zero kernel events — the
-        clock jumps straight to the next burst."""
-        ticks = self._ticks
-        schedule = self._schedule_tick
-        t0 = self._t0
-        tick_ms = self.spec.tick_ms
-        call_at = self.env.call_at
-        while tick_index < ticks:
-            busy = schedule(tick_index)
-            tick_index += 1
-            if busy and tick_index < ticks:
-                call_at(t0 + tick_index * tick_ms, self._scan_cb, tick_index)
-                return
-
-    def _naive_driver(self, ticks: int):
-        """Reference driver: one kernel wake per tick, identical draws."""
-        env = self.env
-        tick_ms = self.spec.tick_ms
-        schedule = self._schedule_tick
-        for tick_index in range(ticks):
-            schedule(tick_index)
-            if tick_index + 1 < ticks:
-                yield env.sleep(tick_ms)
+        self.offered[site] += 1
+        sess = rng.randrange(spec.sessions_per_site)
+        if rng.random() < spec.hotspot_fraction:
+            n_sites = spec.n_sites
+            hot = int(rel / spec.diurnal_period_ms % 1.0 * n_sites) % n_sites
+            key_index = hot * keys_per_site + rng.randrange(keys_per_site)
+        else:
+            key_index = site * keys_per_site + rng.randrange(keys_per_site)
+        is_write = rng.random() < spec.write_fraction
+        self.stations[site].issue(sess, key_index, is_write)
 
     # -- run -----------------------------------------------------------------
 
@@ -609,10 +480,7 @@ class _FleetFullEngine:
                 f"only {connected}/{spec.total_sessions} sessions connected"
             )
         self._t0 = env.now
-        if spec.fast_forward:
-            env.call_soon(self._scan_cb, 0)
-        else:
-            env.process(self._naive_driver(self._ticks), name="fleet-driver")
+        env.call_soon(self._scan_cb, 0)
         env.run(until=self._t0 + self._ticks * spec.tick_ms + spec.drain_ms)
         return self.payload()
 

@@ -491,9 +491,8 @@ def cell_fleet_full(**kwargs) -> Dict[str, Any]:
     The open-loop fleet driver injects its ops into a *real*
     ZK/WanKeeper deployment; parameters are
     :class:`repro.fleet.FleetFullSpec` fields (all JSON scalars). The
-    payload excludes ``fast_forward``/``recycle_messages`` — those only
-    change wall-clock time, so a cell run with either toggle lands on
-    the same digestible result.
+    payload excludes ``recycle_messages`` — it only changes wall-clock
+    time, so a cell run either way lands on the same digestible result.
     """
     from repro.fleet import FleetFullSpec, run_fleet_full
 

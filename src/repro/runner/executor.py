@@ -19,7 +19,7 @@ points the tests pin down:
   byte-identical.
 * **No wedged runs.** A crashing worker is detected by its exit without
   a result; a hung worker is killed after ``timeout_s``. Both surface
-  as :class:`CellFailure` entries carrying the full scenario spec, and
+  as :class:`CellFailure` entries with the full scenario spec, and
   :meth:`ExecutionReport.raise_on_failure` turns them into a non-zero
   exit instead of a deadlocked pool. In the pooled path a dead or hung
   worker fails only its in-flight cell and is replaced.

@@ -1,7 +1,7 @@
 """Declarative simulation-cell specs.
 
 A :class:`Scenario` names a registered cell function plus its parameters
-— nothing else. Specs are hashable, JSON-round-trippable, and carry a
+— nothing else. Specs are hashable, JSON-round-trippable, and have a
 stable content digest, which makes them usable as cache keys and as
 self-describing error reports when a worker dies.
 """

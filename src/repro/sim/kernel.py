@@ -17,7 +17,7 @@ tens of milliseconds, and milliseconds keep all constants readable.
 
 Performance notes (every figure pushes millions of events through here):
 
-* all event classes carry ``__slots__`` — no per-instance ``__dict__``;
+* all event classes declare ``__slots__`` — no per-instance ``__dict__``;
 * yielding an already-processed event enqueues a tiny :class:`_Call` entry
   instead of allocating a shim :class:`Event`;
 * :meth:`Environment.call_in` schedules a plain callback with no Event at
@@ -580,10 +580,9 @@ class Environment:
         The absolute-time twin of :meth:`call_in`, for callers that
         computed an exact instant: no ``when - now`` round trip (which
         can drift by one ULP in float), no Event, no generator. The
-        fleet tier's idle-gap fast-forward leans on this: a driver that
-        scanned ahead over quiescent ticks schedules its next wake (and
-        every arrival it found) at exact instants, touching the kernel
-        once per *busy* tick instead of once per tick.
+        fleet tier's arrival source leans on this: each site's next
+        arrival is scheduled at its exact instant, one event per
+        arrival.
 
         Scheduling in the past is an error; ``when == now`` lands in the
         same-instant buckets like :meth:`call_soon`.

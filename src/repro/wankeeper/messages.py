@@ -5,7 +5,7 @@ Two kinds of definitions live here:
 * **control messages** exchanged between level-1 site leaders and the
   level-2 broker over the WAN (submit, replicate, recall, heartbeat);
 * **replicated payloads** committed inside site/hub ensembles: the
-  :class:`WanTxn` wrapper around a client transaction (carrying origin and
+  :class:`WanTxn` wrapper around a client transaction (with its origin and
   piggybacked token grants, per protocol Fig. 2) and the token marker ops
   that make token state recoverable from the log (§II-D fault tolerance).
 

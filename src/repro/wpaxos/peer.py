@@ -19,6 +19,13 @@ and lets every voter lead the objects it owns:
   chosen entries so the thief recovers any in-flight commands before
   re-proposing them under its own ballot. The previous owner demotes
   the moment it promises a higher ballot.
+* **Yield to the higher bid.** A stealer that learns of a higher live
+  bid for its object — a ``Prepare`` it promises, or a ``Reject`` whose
+  promised ballot names another voter — drops its steal and forwards
+  the object's queued transactions to that bidder, as WPaxos hands
+  requests to the object's leader. For one election timeout afterwards
+  its new submits for the object follow them there instead of starting
+  a steal, so two proposers never duel over one object.
 * **Per-object commit order.** Commits are totally ordered *per object*
   (contiguous slots); there is no global order across objects. The
   delivered zxid is ``Zxid(ballot_n, slot)`` — monotonic within an
@@ -68,21 +75,16 @@ ZERO_BALLOT: Ballot = (0, "")
 class _Steal:
     """One in-flight phase-1 takeover for one object."""
 
-    __slots__ = (
-        "ballot", "started", "retry_at", "promised_by",
-        "accepted", "chosen", "highest_seen",
-    )
+    __slots__ = ("ballot", "started", "promised_by", "accepted", "chosen")
 
     def __init__(self, ballot: Ballot, now: float):
         self.ballot = ballot
         self.started = now
-        self.retry_at: Optional[float] = None
         # zone -> {addr: None} (dict-as-ordered-set; never iterate a raw set)
         self.promised_by: Dict[str, Dict[NodeAddress, None]] = {}
         # slot -> (ballot, txn), highest-ballot accepted value per slot.
         self.accepted: Dict[int, Tuple[Ballot, Any]] = {}
         self.chosen: Dict[int, Tuple[Ballot, Any]] = {}
-        self.highest_seen: Ballot = ballot
 
 
 class _P2:
@@ -131,9 +133,8 @@ class WPaxosPeer:
             for zone, voters in self._zones.items()
         }
         self._my_zone = addr.site if addr.site in self._zones else None
-        self._voter_index = (
-            config.voters.index(addr) if not self.is_observer else 0
-        )
+        # Ballot owner string -> voter, to name the bidder behind a Reject.
+        self._voter_by_name = {str(voter): voter for voter in config.voters}
 
         self._handlers = {
             Prepare: self._on_prepare,
@@ -164,6 +165,11 @@ class WPaxosPeer:
         self._next_slot: Dict[str, int] = {}
         self._stealing: Dict[str, _Steal] = {}
         self._queued: Dict[str, List[Any]] = {}
+        # obj -> (higher bidder, until): submits for obj go to the bidder.
+        self._yield_to: Dict[str, Tuple[NodeAddress, float]] = {}
+        # obj -> highest ballot a Reject named: our next bid goes above
+        # it, even if that bidder has since died.
+        self._outbid: Dict[str, Ballot] = {}
         self._p2: Dict[Tuple[str, int], _P2] = {}
         self._gapped: Dict[str, None] = {}
         # submit dedup id -> (obj, slot) for at-most-one-slot per request.
@@ -183,6 +189,7 @@ class WPaxosPeer:
         self.steals_started = 0
         self.steals_won = 0
         self.steals_rejected = 0
+        self.steals_yielded = 0
         self.proposals_retransmitted = 0
         self.duplicate_submits_dropped = 0
 
@@ -247,6 +254,8 @@ class WPaxosPeer:
         self._next_slot = {}
         self._stealing = {}
         self._queued = {}
+        self._yield_to = {}
+        self._outbid = {}
         self._p2 = {}
         self._gapped = {}
         self._recent_submits = OrderedDict()
@@ -284,8 +293,9 @@ class WPaxosPeer:
     def submit(self, txn: Any) -> Zxid:
         """Proposer entry point: commit ``txn`` in its object's log.
 
-        Owned object: phase-2 in the local zone. Otherwise: queue the txn
-        and run (or keep running) a phase-1 steal for the object.
+        Owned object: phase-2 in the local zone. Yielded to a higher
+        bidder lately: forward the txn to it. Otherwise: queue the txn and
+        run (or keep running) a phase-1 steal for the object.
         """
         if not self.is_leader:
             raise RuntimeError(f"{self.name} is not an active proposer")
@@ -307,6 +317,12 @@ class WPaxosPeer:
             if dedup is not None:
                 self._note_submit(dedup, obj, slot)
             return Zxid(self._owned[obj][0], slot)
+        bidder = self._yield_target(obj)
+        if bidder is not None:
+            # Not noted in _recent_submits: a retransmit by the origin
+            # server must be forwarded again, not swallowed here.
+            self._send(bidder, SubmitReq(self.addr, txn))
+            return Zxid.ZERO
         self._queued.setdefault(obj, []).append(txn)
         if dedup is not None:
             self._note_submit(dedup, obj, -1)
@@ -383,11 +399,11 @@ class WPaxosPeer:
             return
         self._begin_steal(obj)
 
-    def _begin_steal(self, obj: str, floor: Ballot = ZERO_BALLOT) -> None:
+    def _begin_steal(self, obj: str) -> None:
         highest = max(
             self._promised.get(obj, ZERO_BALLOT),
             self._owned.get(obj, ZERO_BALLOT),
-            floor,
+            self._outbid.get(obj, ZERO_BALLOT),
         )
         ballot: Ballot = (highest[0] + 1, str(self.addr))
         steal = _Steal(ballot, self.env.now)
@@ -430,17 +446,6 @@ class WPaxosPeer:
             return
         self._promised[msg.obj] = msg.ballot
         self._bump_epoch(msg.ballot[0])
-        # A lower-ballot steal of ours can no longer win: our own promise
-        # outranks it. Note the stronger bid and rebid above it later.
-        ours = self._stealing.get(msg.obj)
-        if ours is not None and ours.ballot < msg.ballot:
-            if msg.ballot > ours.highest_seen:
-                ours.highest_seen = msg.ballot
-            if ours.retry_at is None:
-                stagger = self.config.heartbeat_interval_ms * (
-                    1 + self._voter_index
-                )
-                ours.retry_at = self.env.now + stagger
         # Promising a higher ballot demotes us as owner of this object.
         if msg.obj in self._owned:
             self._owned.pop(msg.obj, None)
@@ -458,6 +463,9 @@ class WPaxosPeer:
             Promise(msg.obj, msg.ballot, self.addr,
                     self._accepted_triples(msg.obj), chosen_above),
         )
+        # A steal of ours can no longer win against our own promise.
+        if msg.obj in self._stealing:
+            self._yield(msg.obj, msg.src)
 
     def _record_promise(
         self,
@@ -491,19 +499,45 @@ class WPaxosPeer:
         if steal is None or tuple(msg.ballot) != steal.ballot:
             return
         self.steals_rejected += 1
-        promised = tuple(msg.promised)
-        if promised > steal.highest_seen:
-            steal.highest_seen = promised
-        if steal.retry_at is None:
-            # Deterministic per-voter stagger breaks dueling-stealer
-            # lockstep without randomness.
-            stagger = self.config.heartbeat_interval_ms * (
-                1 + self._voter_index
-            )
-            steal.retry_at = self.env.now + stagger
         if self._trace is not None:
             self._trace.emit(self.env.now, "wpaxos", "steal-reject", self.name,
                              {"obj": msg.obj, "by": str(msg.src)})
+        promised = tuple(msg.promised)
+        if promised > self._outbid.get(msg.obj, ZERO_BALLOT):
+            self._outbid[msg.obj] = promised
+        bidder = self._voter_by_name.get(promised[1])
+        if bidder is not None and bidder != self.addr:
+            self._yield(msg.obj, bidder)
+
+    def _yield(self, obj: str, bidder: NodeAddress) -> None:
+        """Give up our steal of ``obj`` to a higher ``bidder``: hand it
+        the queued txns and route new submits there for a while."""
+        self._stealing.pop(obj, None)
+        self.steals_yielded += 1
+        self._yield_to[obj] = (
+            bidder, self.env.now + self.config.election_timeout_ms
+        )
+        if self._trace is not None:
+            self._trace.emit(self.env.now, "wpaxos", "steal-yield", self.name,
+                             {"obj": obj, "to": str(bidder)})
+        for txn in self._queued.pop(obj, ()):
+            dedup = submit_dedup_id(txn)
+            if dedup is not None and self._recent_submits.get(dedup) == (
+                obj, -1
+            ):
+                # The bidder owns this request now: a later retransmit
+                # from the origin server must be forwarded, not dropped.
+                del self._recent_submits[dedup]
+            self._send(bidder, SubmitReq(self.addr, txn))
+
+    def _yield_target(self, obj: str) -> Optional[NodeAddress]:
+        entry = self._yield_to.get(obj)
+        if entry is None:
+            return None
+        if self.env.now < entry[1]:
+            return entry[0]
+        del self._yield_to[obj]
+        return None
 
     def _have_q1(self, steal: _Steal) -> bool:
         for zone, voters in self._zones.items():
@@ -517,9 +551,8 @@ class WPaxosPeer:
         if steal is None or not self._have_q1(steal):
             return
         if self._promised.get(obj, ZERO_BALLOT) > steal.ballot:
-            # We promised a stronger bid after starting this steal;
-            # adopting now would commit below our own promise. The ticker
-            # rebids above ``highest_seen``.
+            # A phase-2 Accept raised our promise after this steal began;
+            # adopting now would commit below it. The stall rule rebids.
             return
         del self._stealing[obj]
         ballot = steal.ballot
@@ -715,16 +748,12 @@ class WPaxosPeer:
             if not self._alive:
                 return
             now = self.env.now
-            # Stalled or rejected steals: rebid above the highest ballot
-            # seen, after the per-voter stagger.
+            # Stalled steals (a voter down or a message lost): rebid above
+            # everything promised so far.
             for obj in sorted(self._stealing):
-                steal = self._stealing[obj]
-                due = (
-                    steal.retry_at is not None and now >= steal.retry_at
-                ) or (now - steal.started > stall)
-                if due:
+                if now - self._stealing[obj].started > stall:
                     del self._stealing[obj]
-                    self._begin_steal(obj, floor=steal.highest_seen)
+                    self._begin_steal(obj)
             # Queued objects with no steal in flight (demoted mid-queue).
             for obj in sorted(self._queued):
                 if self._queued[obj] and obj not in self._owned:

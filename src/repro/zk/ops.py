@@ -233,7 +233,7 @@ class Txn:
         raise AttributeError(f"Txn is immutable (tried to set {key!r})")
 
     def replace_op(self, op: Op) -> "Txn":
-        """A copy of this txn carrying ``op`` instead of the original."""
+        """A copy of this txn with ``op`` instead of the original."""
         return Txn(
             self.session_id,
             self.cxid,
