@@ -882,7 +882,6 @@ def bench_experiments(
     seed: int = 42,
     jobs: Optional[int] = None,
     suites: Optional[List[str]] = None,
-    pool: bool = True,
 ) -> Dict[str, Any]:
     """Wall-clock comparison of the scenario runner's three modes.
 
@@ -929,7 +928,6 @@ def bench_experiments(
             jobs=jobs,
             cache=ResultCache(cache_root),
             timeout_s=3600,
-            pool=pool,
         )
         cold.raise_on_failure()
         warm = execute(
@@ -937,7 +935,6 @@ def bench_experiments(
             jobs=jobs,
             cache=ResultCache(cache_root),
             timeout_s=3600,
-            pool=pool,
         )
         warm.raise_on_failure()
     finally:
@@ -957,7 +954,6 @@ def bench_experiments(
         "seed": seed,
         "jobs": jobs,
         "cpu_count": cpu_count,
-        "executor": "pool" if pool else "spawn",
         "suites": names,
         "cells": len(serial.results),
         "serial_wall_s": round(serial.wall_s, 3),
@@ -1000,8 +996,7 @@ def _format_experiments(results: Dict[str, Any]) -> str:
         rows,
         title=(
             f"Experiment suite runner{suffix}: {results['cells']} cells, "
-            f"{results['cpu_count']} CPU(s), "
-            f"{results.get('executor', 'spawn')} executor"
+            f"{results['cpu_count']} CPU(s)"
         ),
     )
     if results.get("single_core_advisory"):
@@ -1304,20 +1299,6 @@ def main(argv=None) -> int:
         help="worker processes for --experiments (0 = one per CPU)",
     )
     parser.add_argument(
-        "--pool",
-        dest="pool",
-        action="store_true",
-        default=True,
-        help="--experiments: parallel runs use the warm worker pool "
-        "(default)",
-    )
-    parser.add_argument(
-        "--no-pool",
-        dest="pool",
-        action="store_false",
-        help="--experiments: spawn one process per cell instead",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="print results as JSON"
     )
     parser.add_argument(
@@ -1396,7 +1377,6 @@ def main(argv=None) -> int:
             quick=args.quick,
             seed=args.seed,
             jobs=args.jobs or None,
-            pool=args.pool,
         )
         out = args.out if args.out != BENCH_FILE else EXPERIMENTS_BENCH_FILE
 
@@ -1440,7 +1420,6 @@ def main(argv=None) -> int:
             "quick": bool(args.quick),
             "jobs": results["jobs"],
             "cpu_count": results["cpu_count"],
-            "executor": results["executor"],
             "parallel_speedup": results["parallel_speedup"],
             "single_core_advisory": results["single_core_advisory"],
         }

@@ -8,7 +8,7 @@ from typing import Any, Optional
 __all__ = ["AddAck", "AddEntry", "FenceAck", "FenceLedger", "ReadEntry", "ReadReply"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddEntry:
     sender: Any  # NodeAddress of the client
     ledger_id: int
@@ -16,28 +16,28 @@ class AddEntry:
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddAck:
     ledger_id: int
     entry_id: int
     ok: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadEntry:
     sender: Any
     ledger_id: int
     entry_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadReply:
     ledger_id: int
     entry_id: int
     payload: Optional[bytes]  # None = not stored here
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FenceLedger:
     """Recovery-opener -> bookie: reject all further adds to this ledger.
 
@@ -50,7 +50,7 @@ class FenceLedger:
     ledger_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FenceAck:
     ledger_id: int
     last_entry: int  # highest entry id this bookie stores (-1 = none)

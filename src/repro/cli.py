@@ -120,21 +120,6 @@ def _experiments_main(argv: List[str]) -> int:
         help="always recompute; neither read nor write the result cache",
     )
     parser.add_argument(
-        "--pool",
-        dest="pool",
-        action="store_true",
-        default=True,
-        help="run parallel cells through the persistent warm worker pool "
-        "(default)",
-    )
-    parser.add_argument(
-        "--no-pool",
-        dest="pool",
-        action="store_false",
-        help="escape hatch: spawn one fresh process per cell instead of "
-        "using the warm pool",
-    )
-    parser.add_argument(
         "--verbose", action="store_true", help="per-cell progress on stderr"
     )
     parser.add_argument(
@@ -198,7 +183,6 @@ def _experiments_main(argv: List[str]) -> int:
         cache=cache,
         timeout_s=args.timeout,
         progress=progress,
-        pool=args.pool,
     )
 
     # Tables always print, in request order, for every cell that has a

@@ -14,8 +14,8 @@ Design points:
   start method (pristine interpreter, no fork-inherited simulation
   state), and cells remain pure functions of their spec, so reuse cannot
   leak observable state between cells — the determinism tests run the
-  same cell through ``--jobs 1``, the pool, and the legacy spawn
-  executor and require byte-identical payloads.
+  same cell through ``--jobs 1`` and the pool and require
+  byte-identical payloads.
 * **Batched dispatch.** Small cells are grouped into one ``("run",
   [spec, ...])`` message so per-dispatch latency amortizes (fuzz
   campaigns push hundreds of sub-second cells through here). Workers

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadLeaseRequest:
     """Server -> hub: strong read of ``path`` (token key ``key``).
 
@@ -58,7 +58,7 @@ class ReadLeaseRequest:
     lease: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadLeaseGrant:
     """Hub -> server: the read result (+ lease when requested)."""
 
@@ -71,14 +71,14 @@ class ReadLeaseGrant:
     lease_until: float = 0.0  # 0 = no lease granted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadInvalidate:
     """Hub -> leaseholder: drop your lease on ``keys`` (a write is coming)."""
 
     keys: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadInvalidateAck:
     sender: NodeAddress
     keys: Tuple[str, ...]

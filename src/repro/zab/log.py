@@ -23,7 +23,7 @@ from repro.zab.zxid import Zxid
 __all__ = ["LogEntry", "TxnLog"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """A single accepted transaction."""
 

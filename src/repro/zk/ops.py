@@ -4,7 +4,8 @@ Write operations travel through atomic broadcast as :class:`Txn` envelopes
 and are applied deterministically by every replica — including deterministic
 error outcomes and sequential-name assignment, so all trees stay identical.
 Read operations never enter the broadcast; servers answer them from their
-local tree.
+local tree. Ops and :class:`Txn` are frozen slots dataclasses: immutable,
+hashable by field tuple, and free of a per-instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
 # -- write ops ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateOp:
     path: str
     data: bytes = b""
@@ -48,7 +49,7 @@ class CreateOp:
             raise ValueError("cannot create the root node")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteOp:
     path: str
     version: int = -1
@@ -59,7 +60,7 @@ class DeleteOp:
             raise ValueError("cannot delete the root node")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetDataOp:
     path: str
     data: bytes = b""
@@ -69,7 +70,7 @@ class SetDataOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckVersionOp:
     """Precondition op for multi(): fail unless version matches."""
 
@@ -80,7 +81,7 @@ class CheckVersionOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiOp:
     """All-or-nothing transaction over multiple write ops."""
 
@@ -94,7 +95,7 @@ class MultiOp:
                 raise ValueError(f"multi() cannot contain {type(op).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyncOp:
     """Flush: complete once all prior commits are visible at the server.
 
@@ -105,7 +106,7 @@ class SyncOp:
     path: str = "/"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CloseSessionOp:
     """Internal: expire a session and delete its ephemerals.
 
@@ -123,7 +124,7 @@ class CloseSessionOp:
 # -- read ops ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GetDataOp:
     path: str
     watch: bool = False
@@ -132,7 +133,7 @@ class GetDataOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExistsOp:
     path: str
     watch: bool = False
@@ -141,7 +142,7 @@ class ExistsOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GetChildrenOp:
     path: str
     watch: bool = False
@@ -198,6 +199,7 @@ def paths_touched(op: Any) -> Set[str]:
     raise TypeError(f"not an op: {op!r}")
 
 
+@dataclass(frozen=True, slots=True)
 class Txn:
     """The replicated transaction envelope for one write op.
 
@@ -205,32 +207,15 @@ class Txn:
     (it replies to the client once it applies the commit). ``session_id`` and
     ``cxid`` correlate the reply. WanKeeper wraps this envelope with token
     metadata; the tree only looks at ``op``.
-
-    Hand-written ``__slots__`` class (one per write, shipped through every
-    broadcast message); equality matches the frozen dataclass it replaces.
     """
 
-    __slots__ = ("session_id", "cxid", "origin", "op", "origin_site", "wan_seq")
-
-    def __init__(
-        self,
-        session_id: str,
-        cxid: int,
-        origin: Any,  # NodeAddress of the accepting server
-        op: Op,
-        # WanKeeper cross-site metadata (None for plain ZooKeeper).
-        origin_site: Optional[str] = None,
-        wan_seq: Optional[int] = None,
-    ):
-        object.__setattr__(self, "session_id", session_id)
-        object.__setattr__(self, "cxid", cxid)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "origin_site", origin_site)
-        object.__setattr__(self, "wan_seq", wan_seq)
-
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"Txn is immutable (tried to set {key!r})")
+    session_id: str
+    cxid: int
+    origin: Any  # NodeAddress of the accepting server
+    op: Op
+    # WanKeeper cross-site metadata (None for plain ZooKeeper).
+    origin_site: Optional[str] = None
+    wan_seq: Optional[int] = None
 
     def replace_op(self, op: Op) -> "Txn":
         """A copy of this txn with ``op`` instead of the original."""
@@ -241,26 +226,4 @@ class Txn:
             op,
             self.origin_site,
             self.wan_seq,
-        )
-
-    def _astuple(self) -> tuple:
-        return (
-            self.session_id,
-            self.cxid,
-            self.origin,
-            self.op,
-            self.origin_site,
-            self.wan_seq,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Txn:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return (
-            f"Txn(session_id={self.session_id!r}, cxid={self.cxid!r}, "
-            f"origin={self.origin!r}, op={self.op!r}, "
-            f"origin_site={self.origin_site!r}, wan_seq={self.wan_seq!r})"
         )

@@ -147,8 +147,6 @@ def test_fleet_cell_identical_across_executors():
 
     scenario = Scenario.make("fleet", dict(_SMALL), suite="fleet")
     serial = execute([scenario], jobs=1)
-    pooled = execute([scenario], jobs=2, pool=True)
-    spawned = execute([scenario], jobs=2, pool=False)
+    pooled = execute([scenario], jobs=2)
     digest = scenario.digest()
     assert serial.results[digest] == pooled.results[digest]
-    assert serial.results[digest] == spawned.results[digest]
