@@ -10,7 +10,8 @@ experiments measure):
 * **burst** — zero-delay ``call_soon`` cascades; measures the same-instant
   batched run-to-quiescence fast path in isolation.
 * **transport** — a producer/consumer pair streaming messages across one
-  WAN link; measures messages/sec through :class:`~repro.net.Network`.
+  WAN link; measures messages/sec through :class:`~repro.net.Network`,
+  once on a jitter-free link and once (the ``jittered`` leg) at 5% jitter.
 * **ycsb** — a full seeded YCSB run against the replicated ZooKeeper world
   (three sites, one client each); measures end-to-end events/sec and
   ops/wall-sec through the entire stack.
@@ -172,15 +173,14 @@ def bench_burst(quick: bool = False) -> Dict[str, Any]:
     }
 
 
-def bench_transport(quick: bool = False) -> Dict[str, Any]:
-    """One-link streaming benchmark through the Network layer."""
+def _stream_one_link(n_messages: int, jitter: float) -> Dict[str, Any]:
+    """Stream ``n_messages`` across virginia -> california at ``jitter``."""
     from repro.net import Network, wan_topology
     from repro.net.topology import NodeAddress
     from repro.sim import Environment
 
-    n_messages = _size(_TRANSPORT_SIZES, "messages", quick)
     env = Environment()
-    topo = wan_topology(jitter_fraction=0.0)
+    topo = wan_topology(jitter_fraction=jitter)
     net = Network(env, topo)
     src = NodeAddress("virginia", "src")
     dst = NodeAddress("california", "dst")
@@ -206,12 +206,26 @@ def bench_transport(quick: bool = False) -> Dict[str, Any]:
     wall = time.perf_counter() - started
     assert received[0] == n_messages
     return {
-        "messages": n_messages,
         "wall_s": wall,
         "msgs_per_sec": n_messages / wall,
         "events": env._seq,
         "events_per_sec": env._seq / wall,
     }
+
+
+def bench_transport(quick: bool = False) -> Dict[str, Any]:
+    """One-link streaming benchmark through the Network layer.
+
+    The headline figures stream over a jitter-free link. The ``jittered``
+    leg sends the same message count over a link with 5% jitter, the
+    default of :func:`repro.net.wan_topology`, where every send draws its
+    jitter and tracks per-pair FIFO order.
+    """
+    n_messages = _size(_TRANSPORT_SIZES, "messages", quick)
+    result: Dict[str, Any] = {"messages": n_messages}
+    result.update(_stream_one_link(n_messages, jitter=0.0))
+    result["jittered"] = _stream_one_link(n_messages, jitter=0.05)
+    return result
 
 
 def bench_ycsb(quick: bool = False, seed: int = 42) -> Dict[str, Any]:
@@ -1090,6 +1104,14 @@ def _format_server_suite(results: Dict[str, Any]) -> str:
     )
 
 
+def _transport_rate(transport: Dict[str, Any]) -> str:
+    rate = f"{transport['msgs_per_sec']:,.0f} msgs/s"
+    jittered = transport.get("jittered")
+    if jittered:
+        rate += f" ({jittered['msgs_per_sec']:,.0f} jittered)"
+    return rate
+
+
 def _format_suite(results: Dict[str, Any]) -> str:
     from repro.experiments.common import format_table
 
@@ -1112,7 +1134,7 @@ def _format_suite(results: Dict[str, Any]) -> str:
             "transport",
             results["transport"]["events"],
             f"{results['transport']['events_per_sec']:,.0f}",
-            f"{results['transport']['msgs_per_sec']:,.0f} msgs/s",
+            _transport_rate(results["transport"]),
         ],
         [
             "ycsb",
@@ -1235,6 +1257,12 @@ def _write_payload(
             if name in results
         },
     }
+    transport = results.get("transport")
+    if transport and "jittered" in transport:
+        entry["transport_msgs_per_sec"] = {
+            "jitter_free": round(transport["msgs_per_sec"], 1),
+            "jittered": round(transport["jittered"]["msgs_per_sec"], 1),
+        }
     if label:
         entry["label"] = label
     history = list(existing.get("history", []))

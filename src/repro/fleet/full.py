@@ -331,8 +331,10 @@ class _FleetFullEngine:
     def __init__(self, spec: FleetFullSpec):
         self.spec = spec
         self.sites = fleet_sites(spec.n_sites, spec.seed)
-        # jitter_fraction=0.0 keeps the transport on its RNG-free fast
-        # path: delays are per-pair constants.
+        # The fleet topology defaults to jitter_fraction=0.0: delays are
+        # per-pair constants, so fault-free sends draw no RNG and keep no
+        # per-pair FIFO entry. (Jitter alone no longer leaves the fast
+        # path; it adds one draw and one FIFO entry per send.)
         self.topology = build_fleet_topology(self.sites, seed=spec.seed)
         self.env = Environment()
         self.net = Network(self.env, self.topology)

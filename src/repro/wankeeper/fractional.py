@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.net.topology import NodeAddress
+from repro.record import frozen_record
 
 __all__ = [
     "ReadInvalidate",
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ReadLeaseRequest:
     """Server -> hub: strong read of ``path`` (token key ``key``).
 
@@ -58,7 +59,7 @@ class ReadLeaseRequest:
     lease: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ReadLeaseGrant:
     """Hub -> server: the read result (+ lease when requested)."""
 
@@ -71,14 +72,14 @@ class ReadLeaseGrant:
     lease_until: float = 0.0  # 0 = no lease granted
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ReadInvalidate:
     """Hub -> leaseholder: drop your lease on ``keys`` (a write is coming)."""
 
     keys: Tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ReadInvalidateAck:
     sender: NodeAddress
     keys: Tuple[str, ...]

@@ -251,7 +251,7 @@ class WanKeeperServer(ZkServer):
         self._wan_proc = None
 
         # WAN message dispatch table, built once (the per-message dict
-        # rebuild was a hot spot, exactly like ZabPeer._dispatch).
+        # rebuild was a hot spot, exactly like ZabPeer._on_envelope).
         self._wan_handlers: Dict[type, Any] = {
             WanHello: self._on_wan_hello,
             WanWelcome: self._on_wan_welcome,
@@ -734,8 +734,9 @@ class WanKeeperServer(ZkServer):
             self._hub_pump()
 
     def _commit_wan_txn(self, zxid: Zxid, wan_txn: WanTxn) -> None:
-        self._seen_wan_ids.add(wan_txn.wan_id)
-        self._hub_inflight_ids.discard(wan_txn.wan_id)
+        wan_id = wan_txn.wan_id
+        self._seen_wan_ids.add(wan_id)
+        self._hub_inflight_ids.discard(wan_id)
         for grant in wan_txn.grants:
             self.hub_tokens.grant(grant.key, grant.site)
             counter_key = (grant.key, grant.site)
@@ -807,7 +808,7 @@ class WanKeeperServer(ZkServer):
                     self._release_keys(ready)
                 self._flush_replicates()
             else:
-                self._submit_unacked.pop(wan_txn.wan_id, None)
+                self._submit_unacked.pop(wan_id, None)
                 if self._l2_addr is not None:
                     self.net.send(
                         self.client_addr,

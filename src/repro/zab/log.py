@@ -15,15 +15,15 @@ not be linear in history length).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from repro.record import frozen_record
 from repro.zab.zxid import Zxid
 
 __all__ = ["LogEntry", "TxnLog"]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class LogEntry:
     """A single accepted transaction."""
 

@@ -98,7 +98,7 @@ class ZabPeer:
         self.name = name or str(addr)
         self.is_observer = config.is_observer(addr)
 
-        # Message-type dispatch table, built once: _dispatch runs for every
+        # Message-type dispatch table, built once: _on_envelope runs for every
         # delivered message and rebuilding a 17-entry dict per message was
         # one of the hottest lines in the whole simulation.
         self._handlers: Dict[type, Callable[[NodeAddress, Any], None]] = {
@@ -312,8 +312,13 @@ class ZabPeer:
     def _on_envelope(self, envelope) -> None:
         # Inbox consumer: replaces the old _main_loop pump process. The
         # aliveness check mirrors the pump's `while self._alive` guard.
-        if self._alive:
-            self._dispatch(envelope.src, envelope.body)
+        if not self._alive:
+            return
+        msg = envelope.body
+        handler = self._handlers.get(type(msg))
+        if handler is None:
+            raise ValueError(f"{self.name}: unhandled message {msg!r}")
+        handler(envelope.src, msg)
 
     def _ticker(self):
         interval = self.config.heartbeat_interval_ms
@@ -363,16 +368,6 @@ class ZabPeer:
     def _abandon_leadership(self) -> None:
         self._reset_leader_state()
         self._enter_looking()
-
-    # -------------------------------------------------------------- dispatch
-
-    def _dispatch(self, src: NodeAddress, msg: Any) -> None:
-        if not self._alive:
-            return
-        handler = self._handlers.get(type(msg))
-        if handler is None:
-            raise ValueError(f"{self.name}: unhandled message {msg!r}")
-        handler(src, msg)
 
     # -------------------------------------------------------------- election
 

@@ -10,9 +10,9 @@ hashable by field tuple, and free of a per-instance ``__dict__``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Set, Tuple, Union
 
+from repro.record import frozen_record
 from repro.zk.paths import parent_of, validate_path
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 # -- write ops ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class CreateOp:
     path: str
     data: bytes = b""
@@ -49,7 +49,7 @@ class CreateOp:
             raise ValueError("cannot create the root node")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class DeleteOp:
     path: str
     version: int = -1
@@ -60,7 +60,7 @@ class DeleteOp:
             raise ValueError("cannot delete the root node")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SetDataOp:
     path: str
     data: bytes = b""
@@ -70,7 +70,7 @@ class SetDataOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class CheckVersionOp:
     """Precondition op for multi(): fail unless version matches."""
 
@@ -81,7 +81,7 @@ class CheckVersionOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class MultiOp:
     """All-or-nothing transaction over multiple write ops."""
 
@@ -95,7 +95,7 @@ class MultiOp:
                 raise ValueError(f"multi() cannot contain {type(op).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SyncOp:
     """Flush: complete once all prior commits are visible at the server.
 
@@ -106,7 +106,7 @@ class SyncOp:
     path: str = "/"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class CloseSessionOp:
     """Internal: expire a session and delete its ephemerals.
 
@@ -124,7 +124,7 @@ class CloseSessionOp:
 # -- read ops ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class GetDataOp:
     path: str
     watch: bool = False
@@ -133,7 +133,7 @@ class GetDataOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ExistsOp:
     path: str
     watch: bool = False
@@ -142,7 +142,7 @@ class ExistsOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class GetChildrenOp:
     path: str
     watch: bool = False
@@ -199,7 +199,7 @@ def paths_touched(op: Any) -> Set[str]:
     raise TypeError(f"not an op: {op!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Txn:
     """The replicated transaction envelope for one write op.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.record import frozen_record
 from repro.zk.records import WatchEvent
 
 __all__ = [
@@ -23,13 +24,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ConnectRequest:
     client: Any  # NodeAddress of the client
     timeout_ms: float
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ConnectReply:
     session_id: str
     timeout_ms: float
@@ -58,22 +59,22 @@ class OpReply:
     error_path: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class WatchNotify:
     session_id: str
     event: WatchEvent
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SessionHeartbeat:
     session_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class HeartbeatAck:
     session_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SessionExpiredNotice:
     session_id: str

@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Set
 
+from repro.record import frozen_record
 from repro.zab.zxid import Zxid
 
 __all__ = ["Stat", "WatchEvent", "WatchType", "Znode"]
@@ -48,7 +49,7 @@ class WatchType(str, enum.Enum):
     NODE_CHILDREN_CHANGED = "node_children_changed"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class WatchEvent:
     """A fired watch, delivered asynchronously to the watching client."""
 

@@ -30,6 +30,17 @@ GOLDEN_ZK_HISTORY = (
 GOLDEN_WK_HISTORY = (
     "4f758103200cce204e3f637684953dd232df209167253d4f5906b75cea3c1990"
 )
+# The same runs with every link jittered by up to 5%, pinned on the
+# transport from before its fault-free path served jittered links: each
+# send then took the fully checked path (uniform() draw, FIFO tracking,
+# call_in), so these prove the jittered fast path is draw-for-draw and
+# ULP-for-ULP the same.
+GOLDEN_ZK_HISTORY_JITTER = (
+    "28966c12320420c05a701a844df5055ee127d0d15bb88adb642d9fb5cda40fea"
+)
+GOLDEN_WK_HISTORY_JITTER = (
+    "f7cf1d9e4dc86777adbb4b5771bb241f8ea0c4a677071d74fb5abd7c0e34632c"
+)
 
 
 def kernel_trace_digest():
@@ -107,18 +118,20 @@ def kernel_trace_digest():
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def history_digest(system):
+def history_digest(system, jitter=0.0):
     """Digest of the client-visible history of a seeded YCSB run.
 
     Covers the full stack: kernel, transport fast path, Zab broadcast,
     ZooKeeper (or WanKeeper) server and client. Start/latency floats go in
-    via repr, so even a one-ULP timing drift changes the digest.
+    via repr, so even a one-ULP timing drift changes the digest. A nonzero
+    ``jitter`` runs every link jittered, which routes each send through the
+    transport's RNG-drawing, FIFO-tracked path.
     """
     from repro.experiments.common import build_world
     from repro.workloads.driver import ClientPlan, YcsbSpec, run_ycsb
     from repro.workloads.stats import LatencyRecorder
 
-    world = build_world(system, seed=77)
+    world = build_world(system, seed=77, jitter=jitter)
     spec = YcsbSpec(record_count=80, operation_count=400, write_fraction=0.5)
     plans = []
     for i, site in enumerate(("virginia", "california", "frankfurt")):
@@ -149,6 +162,14 @@ def test_zk_history_matches_pre_optimization_golden():
 
 def test_wk_history_matches_pre_optimization_golden():
     assert history_digest("wk") == GOLDEN_WK_HISTORY
+
+
+def test_jittered_zk_history_matches_golden():
+    assert history_digest("zk", jitter=0.05) == GOLDEN_ZK_HISTORY_JITTER
+
+
+def test_jittered_wk_history_matches_golden():
+    assert history_digest("wk", jitter=0.05) == GOLDEN_WK_HISTORY_JITTER
 
 
 def test_seeded_runs_are_bit_identical_across_repeats():

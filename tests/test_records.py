@@ -7,7 +7,8 @@ field-tuple equality between instances of the same class, the hash is
 ``hash(field tuple)`` (which fixes set and dict iteration orders), and the
 repr is ``Name(field=value, ...)`` (trace details and invariant digests
 embed it). These tests pin all three for every record class, so a record
-written by hand again, or with different flags, shows up here.
+written by hand again, or with different flags, shows up here. Frozen
+records must also refuse every write with ``FrozenInstanceError``.
 """
 
 import dataclasses
@@ -97,6 +98,17 @@ def test_record_contract(cls):
             hash(record)
     else:
         assert hash(record) == hash(tuple(values.values()))
+
+    # A frozen record refuses every write with FrozenInstanceError, for a
+    # field and for a mistyped name alike.
+    if cls.__dataclass_params__.frozen:
+        field = next(iter(values))
+        for name in (field, "not_a_field"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        assert record == twin
 
 
 def _same_shape_pairs():
